@@ -18,6 +18,19 @@ type status =
 
 let status_ok = function Ok | Starved -> true | Crashed | Errored _ -> false
 
+type tally = { n_ok : int; n_crashed : int; n_starved : int; n_errored : int }
+
+let tally statuses =
+  let ok = ref 0 and cr = ref 0 and st = ref 0 and er = ref 0 in
+  Array.iter
+    (function
+      | Ok -> incr ok
+      | Crashed -> incr cr
+      | Starved -> incr st
+      | Errored _ -> incr er)
+    statuses;
+  { n_ok = !ok; n_crashed = !cr; n_starved = !st; n_errored = !er }
+
 let status_string = function
   | Ok -> "ok"
   | Crashed -> "crashed"

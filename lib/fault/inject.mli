@@ -14,6 +14,11 @@ type status =
 (** Did the node produce an output row ([Ok]/[Starved])? *)
 val status_ok : status -> bool
 
+(** Per-status node counts of one run. *)
+type tally = { n_ok : int; n_crashed : int; n_starved : int; n_errored : int }
+
+val tally : status array -> tally
+
 val status_string : status -> string
 val pp_status : Format.formatter -> status -> unit
 

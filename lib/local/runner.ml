@@ -3,6 +3,12 @@
    algorithm everywhere, and hand the assembled half-edge labeling to
    the verifier.
 
+   One execution core ([execute]) does all of that for both entry
+   points; [run] and [run_resilient] only supply a per-node body and a
+   verifier. There are three bodies: [run]'s plain one (raises on a bad
+   output, no crash test, no exception fence), and [run_resilient]'s
+   pristine and general ones (see there).
+
    The per-node simulation — the O(n · Δ^T) hot path every experiment
    funnels through — runs on the deterministic chunked parallel engine
    of [Util.Parallel] (worker count from [?domains], default from
@@ -17,7 +23,8 @@
    trees: the order-invariance machinery of Def. 2.7 / Lemma 4.2 is
    exactly what bounds their count) this removes most algorithm
    invocations. Sound only for deterministic order-invariant
-   algorithms, hence off by default. *)
+   algorithms, hence off by default — and never used by resilient
+   runs. *)
 
 type stats = {
   balls_extracted : int;   (* views examined, one per live node *)
@@ -86,22 +93,32 @@ let resolve_workers workers =
   | Some w -> max 1 w
   | None -> Util.Cluster.default_workers ()
 
-(* -- cluster dispatch ---------------------------------------------------- *)
+(* -- the execution core -------------------------------------------------- *)
+
+(* What a per-node body reads, fixed once per run: identifiers and
+   randomness (plan patches applied), the declared n, the radius, and
+   the re-attempt counter resilient bodies bump. *)
+type env = {
+  ids : int array;
+  rand : int64 array;
+  n_declared : int;
+  radius : int;
+  extra_attempts : int Atomic.t;
+}
 
 (* What one worker process sends back: its rows, its slice of the
-   status array (resilient runs), its counter deltas, the memo entries
-   it inserted (so the parent can fold them into the shared table —
-   what keeps a cross-run [memo_cache] warm across the process
-   boundary), and its observability collections. Pure data: this
-   record crosses the process boundary via [Marshal]. *)
+   status array (resilient runs), its counter deltas, and the memo
+   entries it inserted (so the parent can fold them into the shared
+   table — what keeps a cross-run [memo_cache] warm across the process
+   boundary). Pure data: this record crosses the process boundary via
+   [Marshal]; the worker's trace travels beside it in
+   [Util.Cluster]'s frame. *)
 type shard_payload = {
   sp_rows : int array array;
   sp_statuses : Fault.status array;  (* [||] outside resilient runs *)
   sp_hits : int;
   sp_retries : int;
   sp_memo : (int * int array * int array) list;  (* (hash, key, out) *)
-  sp_events : Obs.Span.event list;
-  sp_metrics : (string * Obs.Metrics.value) list;
 }
 
 (* Exceptions escaping a worker shard, made marshalable: the classes
@@ -134,37 +151,199 @@ let reraise_wire = function
   | W_fault err -> raise (Fault.Error.E err)
   | W_other m -> failwith ("cluster worker failed: " ^ m)
 
-(* In a freshly forked worker: drop the trace state copied from the
-   parent so the child ships only spans/metrics it recorded itself. *)
-let child_obs_reset () = if Obs.enabled () then Obs.reset ()
-
-let child_obs_payload () =
-  if Obs.enabled () then
-    ( Obs.Span.collect (),
-      List.filter
-        (fun (_, v) -> not (Obs.Metrics.is_zero v))
-        (Obs.Metrics.snapshot ()) )
-  else ([], [])
-
-(* Merge worker payloads in rank order: memo entries into the parent
-   table (first-writer-wins keeps racing duplicates harmless), spans
-   and metrics into the parent trace (dense-rank renaming happens in
-   [Obs.Span.absorb]/[collect]), counter deltas into [hits]/[retries]
-   accumulators. Row concatenation is the caller's job. *)
-let merge_shards ~cache ~hits_acc ~retries_acc shards =
-  Array.iter
-    (fun p ->
-      (match cache with
-      | Some (_, table) ->
-        List.iter
-          (fun (h, k, v) -> Util.Keytab.add table ~hash:h k v)
-          (List.rev p.sp_memo)
-      | None -> ());
-      hits_acc := !hits_acc + p.sp_hits;
-      retries_acc := !retries_acc + p.sp_retries;
-      Obs.Span.absorb p.sp_events;
-      Obs.Metrics.absorb p.sp_metrics)
-    shards
+(* The one execution core behind [run] and [run_resilient]: derive
+   identifiers and randomness (patched by [compiled] under a plan),
+   resolve domains and workers, wrap [body env] in the memo probe when
+   there is a [cache], run it over every node, verify with [verify],
+   and record the shared [runner.*] metrics. [statuses] is the
+   per-node status array a resilient body writes; worker processes
+   ship their slice of it back. Returns the outcome and the
+   re-attempts spent. *)
+let execute ~t_start ~seed ~ids ~n_declared ?domains ?workers ?compiled
+    ?cache ?statuses ~body ~verify (algo : Algorithm.t) g =
+  let n = Graph.n g in
+  let n_declared = Option.value n_declared ~default:n in
+  let rng = Util.Prng.create ~seed in
+  let ids = assign_ids rng ids n in
+  let rand = Array.init n (fun _ -> Util.Prng.next_int64 rng) in
+  let ids, rand =
+    match compiled with
+    | None -> (ids, rand)
+    | Some c -> (Fault.Inject.apply_ids c ids, Fault.Inject.apply_rand c rand)
+  in
+  let radius = algo.Algorithm.radius ~n:n_declared in
+  let domains_used = min (resolve_domains domains) (max 1 n) in
+  let workers_used = min (resolve_workers workers) (max 1 n) in
+  (* so that [distinct_views] counts views added by THIS run: a shared
+     cross-run cache arrives non-empty, and re-reporting its cumulative
+     size every run used to double-count into [m_views] *)
+  let views_before =
+    match cache with None -> 0 | Some c -> Util.Keytab.length c.mc_tbl
+  in
+  let extra_attempts = Atomic.make 0 in
+  let body = body { ids; rand; n_declared; radius; extra_attempts } in
+  let hits = Atomic.make 0 in
+  (* sequential runs count hits in a plain cell: an atomic
+     read-modify-write per node is measurable on the memo hit path *)
+  let hits_seq = ref 0 in
+  (* memo insertions, journaled so a cluster worker can ship them back
+     to the parent table; one cons per *distinct* view, so the
+     single-process path pays nothing measurable *)
+  let journal = ref [] in
+  let simulate =
+    match cache with
+    | None -> body
+    | Some { mc_lock = lock; mc_tbl = table } -> (
+      fun v ->
+        (* probe with the key assembled straight from the BFS scratch —
+           the hit path never materializes a view, a string, or a
+           closure result; a single worker owns the table for the whole
+           parallel section, so it also skips the lock *)
+        let kv = Graph.Ball.fingerprint_view_of g ~ids ~n_declared v ~radius in
+        let found =
+          (* no closure on the sequential path — it would be a per-node
+             allocation *)
+          if domains_used = 1 then
+            Util.Keytab.find table ~hash:kv.Graph.Ball.kv_hash
+              kv.Graph.Ball.kv_words ~len:kv.Graph.Ball.kv_len
+          else
+            Mutex.protect lock (fun () ->
+                Util.Keytab.find table ~hash:kv.Graph.Ball.kv_hash
+                  kv.Graph.Ball.kv_words ~len:kv.Graph.Ball.kv_len)
+        in
+        match found with
+        | Some out ->
+          if domains_used = 1 then incr hits_seq else Atomic.incr hits;
+          (* no arity check: equal keys imply equal center degree, and
+             the stored output was checked when it was inserted *)
+          Array.copy out
+        | None ->
+          (* copy the key out of the scratch before the body extracts
+             the view — a nested fingerprint would overwrite it *)
+          let hash = kv.Graph.Ball.kv_hash in
+          let key = Array.sub kv.Graph.Ball.kv_words 0 kv.Graph.Ball.kv_len in
+          let out = body v in
+          (* a racing domain may insert the same view meanwhile; for the
+             deterministic algorithms the memo is sound for, both
+             computed outputs are identical, so first-writer-wins
+             (which [Keytab.add] implements) *)
+          let stored = Array.copy out in
+          let insert () =
+            Util.Keytab.add table ~hash key stored;
+            journal := (hash, key, stored) :: !journal
+          in
+          if domains_used = 1 then insert () else Mutex.protect lock insert;
+          out)
+  in
+  let simulate_range lo hi =
+    Util.Parallel.init ~domains:domains_used (hi - lo) (fun i ->
+        simulate (lo + i))
+  in
+  (* One worker process per contiguous node range; each child runs the
+     domain engine on its shard (reading halo balls straight out of the
+     copy-on-write graph) and ships rows, status slice, counter deltas
+     and memo insertions back as one frame. Rank-order concatenation
+     makes the labeling — and the statuses, a pure per-node function of
+     (graph, plan, seed) — bit-identical to the single-process run. A
+     worker that dies is recomputed by [recover] in the parent, where
+     effects land in parent state directly and exceptions propagate
+     raw as in the single-process engine. *)
+  let cluster_simulate () =
+    let shard lo hi =
+      match simulate_range lo hi with
+      | rows ->
+        Ok
+          {
+            sp_rows = rows;
+            sp_statuses =
+              (match statuses with
+              | Some st -> Array.sub st lo (hi - lo)
+              | None -> [||]);
+            sp_hits = Atomic.get hits + !hits_seq;
+            sp_retries = Atomic.get extra_attempts;
+            sp_memo = !journal;
+          }
+      | exception e -> Error (wire_exn_of e)
+    in
+    let recover lo hi =
+      Ok
+        {
+          sp_rows = simulate_range lo hi;
+          sp_statuses = [||];
+          sp_hits = 0;
+          sp_retries = 0;
+          sp_memo = [];
+        }
+    in
+    let shards =
+      Util.Cluster.map_ranges ~workers:workers_used ~recover ~n shard
+      |> Array.map (function Ok p -> p | Error w -> reraise_wire w)
+    in
+    (* merge in rank order; memo entries first-writer-wins, so racing
+       duplicates are harmless *)
+    Array.iteri
+      (fun rank p ->
+        (match statuses with
+        | Some st ->
+          let lo, _ = Util.Cluster.block_bounds ~n ~workers:workers_used rank in
+          Array.blit p.sp_statuses 0 st lo (Array.length p.sp_statuses)
+        | None -> ());
+        (match cache with
+        | Some c ->
+          List.iter
+            (fun (h, k, v) -> Util.Keytab.add c.mc_tbl ~hash:h k v)
+            (List.rev p.sp_memo)
+        | None -> ());
+        hits_seq := !hits_seq + p.sp_hits;
+        ignore (Atomic.fetch_and_add extra_attempts p.sp_retries))
+      shards;
+    Array.concat (Array.to_list (Array.map (fun p -> p.sp_rows) shards))
+  in
+  (* [simulate_seconds] is the documented "extraction + algorithm
+     runs" window: it brackets the parallel section, not plan
+     compilation or the id/PRNG derivation above — for both entry
+     points, which is what bench E11 pairs *)
+  let t_sim0 = Unix.gettimeofday () in
+  let labeling =
+    Obs.Span.with_ "runner.simulate" (fun () ->
+        if workers_used <= 1 then
+          Util.Parallel.init ~domains:domains_used n simulate
+        else cluster_simulate ())
+  in
+  let t_simulated = Unix.gettimeofday () in
+  let violations = Obs.Span.with_ "runner.verify" (fun () -> verify labeling) in
+  let t_end = Unix.gettimeofday () in
+  (* crash-stop nodes extract no view *)
+  let live =
+    match compiled with
+    | None -> n
+    | Some c ->
+      Array.fold_left
+        (fun k dead -> if dead then k - 1 else k)
+        n c.Fault.Inject.crashed
+  in
+  let retries_used = Atomic.get extra_attempts in
+  let stats =
+    {
+      balls_extracted = live;
+      cache_hits = Atomic.get hits + !hits_seq;
+      distinct_views =
+        (match cache with
+        | None -> 0
+        | Some c -> Util.Keytab.length c.mc_tbl - views_before);
+      domains_used;
+      simulate_seconds = t_simulated -. t_sim0;
+      verify_seconds = t_end -. t_simulated;
+      total_seconds = t_end -. t_start;
+    }
+  in
+  Obs.Metrics.incr m_runs;
+  Obs.Metrics.add m_nodes n;
+  Obs.Metrics.add m_hits stats.cache_hits;
+  Obs.Metrics.add m_views stats.distinct_views;
+  (* invocations = live nodes minus memo hits, plus re-attempts *)
+  Obs.Metrics.add m_algo (live - stats.cache_hits + retries_used);
+  ({ labeling; violations; radius_used = radius; stats }, retries_used)
 
 (** Run [algo] on [g] against [problem]. [n_declared] defaults to the
     true size (Def. 2.1 gives nodes the exact n; pass a different value
@@ -177,195 +356,30 @@ let run ?(seed = 0xC0FFEE) ?(ids = `Random) ?n_declared ?domains ?workers
     ?(memo = false) ?cache ~problem (algo : Algorithm.t) g =
   Obs.Span.with_ "runner.run" @@ fun () ->
   let t_start = Unix.gettimeofday () in
-  let n = Graph.n g in
-  let n_declared = Option.value n_declared ~default:n in
-  let rng = Util.Prng.create ~seed in
-  let ids = assign_ids rng ids n in
-  let rand = Array.init n (fun _ -> Util.Prng.next_int64 rng) in
-  let radius = algo.Algorithm.radius ~n:n_declared in
-  let domains_used = min (resolve_domains domains) (max 1 n) in
-  let workers_used = min (resolve_workers workers) (max 1 n) in
   let cache =
     match cache with
-    | Some c -> Some (c.mc_lock, c.mc_tbl)
-    | None ->
-      if memo then Some (Mutex.create (), Util.Keytab.create ()) else None
+    | Some _ -> cache
+    | None -> if memo then Some (memo_cache ()) else None
   in
-  (* so that [distinct_views] counts views added by THIS run: a shared
-     cross-run cache arrives non-empty, and re-reporting its cumulative
-     size every run used to double-count into [m_views] *)
-  let views_before =
-    match cache with None -> 0 | Some (_, table) -> Util.Keytab.length table
-  in
-  let hits = Atomic.make 0 in
-  (* sequential runs count hits in a plain cell: an atomic
-     read-modify-write per node is measurable on the memo hit path *)
-  let hits_seq = ref 0 in
-  (* memo insertions, journaled so a cluster worker can ship them back
-     to the parent table; one cons per *distinct* view, so the
-     single-process path pays nothing measurable *)
-  let journal = ref [] in
-  let check_arity v out =
-    if Array.length out <> Graph.degree g v then
-      invalid_arg
-        (Printf.sprintf "Runner.run: %s returned %d outputs at degree-%d node"
-           algo.Algorithm.name (Array.length out) (Graph.degree g v));
-    out
-  in
-  let simulate v =
-    match cache with
-    | None ->
+  (* the plain body: a bad output raises, nothing is fenced *)
+  let body env =
+    let { ids; rand; n_declared; radius; _ } = env in
+    fun v ->
       (* ~reuse: each worker domain is done with a view before
          extracting the next, so the per-domain view pool is sound *)
       let ball, _hosts =
         Graph.Ball.extract ~reuse:true g ~ids ~rand ~n_declared v ~radius
       in
-      check_arity v (algo.Algorithm.run ball)
-    | Some (lock, table) -> (
-      (* probe with the key assembled straight from the BFS scratch —
-         the hit path never materializes a view, a string, or a
-         closure result; a single worker owns the table for the whole
-         parallel section, so it also skips the lock *)
-      let kv = Graph.Ball.fingerprint_view_of g ~ids ~n_declared v ~radius in
-      let found =
-        (* no closure on the sequential path — it would be a per-node
-           allocation *)
-        if domains_used = 1 then
-          Util.Keytab.find table ~hash:kv.Graph.Ball.kv_hash
-            kv.Graph.Ball.kv_words ~len:kv.Graph.Ball.kv_len
-        else
-          Mutex.protect lock (fun () ->
-              Util.Keytab.find table ~hash:kv.Graph.Ball.kv_hash
-                kv.Graph.Ball.kv_words ~len:kv.Graph.Ball.kv_len)
-      in
-      match found with
-      | Some out ->
-        if domains_used = 1 then incr hits_seq else Atomic.incr hits;
-        (* no arity check: equal keys imply equal center degree, and
-           the stored output was checked when it was inserted *)
-        Array.copy out
-      | None ->
-        (* copy the key out of the scratch before extracting or
-           invoking the algorithm — a nested fingerprint would
-           overwrite it *)
-        let hash = kv.Graph.Ball.kv_hash in
-        let key =
-          Array.sub kv.Graph.Ball.kv_words 0 kv.Graph.Ball.kv_len
-        in
-        let ball, _hosts =
-          Graph.Ball.extract ~reuse:true g ~ids ~rand ~n_declared v ~radius
-        in
-        let out = check_arity v (algo.Algorithm.run ball) in
-        (* a racing domain may insert the same view meanwhile; for the
-           deterministic algorithms the memo is sound for, both
-           computed outputs are identical, so first-writer-wins
-           (which [Keytab.add] implements) *)
-        let stored = Array.copy out in
-        let insert () =
-          Util.Keytab.add table ~hash key stored;
-          journal := (hash, key, stored) :: !journal
-        in
-        if domains_used = 1 then insert () else Mutex.protect lock insert;
-        out)
+      let out = algo.Algorithm.run ball in
+      if Array.length out <> Graph.degree g v then
+        invalid_arg
+          (Printf.sprintf "Runner.run: %s returned %d outputs at degree-%d node"
+             algo.Algorithm.name (Array.length out) (Graph.degree g v));
+      out
   in
-  let cluster_hits = ref 0 in
-  let cluster_retries = ref 0 in
-  (* One worker process per contiguous node range; each child runs the
-     domain-parallel engine above on its shard (reading halo balls
-     straight out of the copy-on-write graph) and ships rows, counter
-     deltas, memo insertions and trace collections back as one frame.
-     Rank-order concatenation makes the labeling bit-identical to the
-     single-process run. A worker that dies is recovered in-process:
-     [recover] skips the child-only trace reset and accumulates its
-     effects directly in parent state. *)
-  let cluster_simulate () =
-    let shard lo hi =
-      match
-        child_obs_reset ();
-        let rows =
-          Util.Parallel.init ~domains:domains_used (hi - lo) (fun i ->
-              simulate (lo + i))
-        in
-        let events, metrics = child_obs_payload () in
-        {
-          sp_rows = rows;
-          sp_statuses = [||];
-          sp_hits = Atomic.get hits + !hits_seq;
-          sp_retries = 0;
-          sp_memo = !journal;
-          sp_events = events;
-          sp_metrics = metrics;
-        }
-      with
-      | p -> Ok p
-      | exception e -> Error (wire_exn_of e)
-    in
-    (* the recovery / no-fork path runs in the parent: effects (hit
-       counters, memo inserts) land in parent state directly, and
-       exceptions propagate raw as in the single-process engine *)
-    let recover lo hi =
-      let rows =
-        Util.Parallel.init ~domains:domains_used (hi - lo) (fun i ->
-            simulate (lo + i))
-      in
-      Ok
-        {
-          sp_rows = rows;
-          sp_statuses = [||];
-          sp_hits = 0;
-          sp_retries = 0;
-          sp_memo = [];
-          sp_events = [];
-          sp_metrics = [];
-        }
-    in
-    let shards =
-      Util.Cluster.map_ranges ~workers:workers_used ~recover ~n shard
-    in
-    Array.iter (function Error w -> reraise_wire w | Ok _ -> ()) shards;
-    let shards =
-      Array.map (function Ok p -> p | Error _ -> assert false) shards
-    in
-    merge_shards ~cache ~hits_acc:cluster_hits ~retries_acc:cluster_retries
-      shards;
-    Array.concat (Array.to_list (Array.map (fun p -> p.sp_rows) shards))
-  in
-  (* [simulate_seconds] is the documented "extraction + algorithm
-     runs" window: it brackets the parallel section, not the id/PRNG
-     derivation above *)
-  let t_sim0 = Unix.gettimeofday () in
-  let labeling =
-    Obs.Span.with_ "runner.simulate" (fun () ->
-        if workers_used <= 1 then
-          Util.Parallel.init ~domains:domains_used n simulate
-        else cluster_simulate ())
-  in
-  let t_simulated = Unix.gettimeofday () in
-  let violations =
-    Obs.Span.with_ "runner.verify" (fun () ->
-        Lcl.Verify.violations problem g labeling)
-  in
-  let t_end = Unix.gettimeofday () in
-  let stats =
-    {
-      balls_extracted = n;
-      cache_hits = Atomic.get hits + !hits_seq + !cluster_hits;
-      distinct_views =
-        (match cache with
-        | None -> 0
-        | Some (_, table) -> Util.Keytab.length table - views_before);
-      domains_used;
-      simulate_seconds = t_simulated -. t_sim0;
-      verify_seconds = t_end -. t_simulated;
-      total_seconds = t_end -. t_start;
-    }
-  in
-  Obs.Metrics.incr m_runs;
-  Obs.Metrics.add m_nodes n;
-  Obs.Metrics.add m_hits stats.cache_hits;
-  Obs.Metrics.add m_views stats.distinct_views;
-  Obs.Metrics.add m_algo (n - stats.cache_hits);
-  { labeling; violations; radius_used = radius; stats }
+  fst
+    (execute ~t_start ~seed ~ids ~n_declared ?domains ?workers ?cache ~body
+       ~verify:(Lcl.Verify.violations problem g) algo g)
 
 (* -- resilient execution ------------------------------------------------ *)
 
@@ -411,56 +425,19 @@ let remix r a =
     Int64.logxor z (Int64.shift_right_logical z 31)
   end
 
-let summarize_statuses applied ~severed_edges ~retries_used statuses =
-  let ok = ref 0 and cr = ref 0 and st = ref 0 and er = ref 0 in
-  Array.iter
-    (function
-      | Fault.Ok -> incr ok
-      | Fault.Crashed -> incr cr
-      | Fault.Starved -> incr st
-      | Fault.Errored _ -> incr er)
-    statuses;
-  {
-    applied;
-    statuses;
-    ok_nodes = !ok;
-    crashed_nodes = !cr;
-    starved_nodes = !st;
-    errored_nodes = !er;
-    severed_edges;
-    retries_used;
-  }
-
 (** Run [algo] on [g] under fault [plan]. Nothing raises across the
     parallel engine: every per-node failure is caught and becomes an
     [Errored] status (with [retries] fresh-randomness re-attempts
     first), crashed nodes are skipped, and the labeling is verified on
     the healthy subgraph. Plan/graph mismatches return [Error] (F301). *)
 let run_resilient ?(seed = 0xC0FFEE) ?(ids = `Random) ?n_declared ?domains
-    ?workers ?(memo = false) ?(plan = Fault.Plan.empty) ?(retries = 0)
-    ~problem (algo : Algorithm.t) g =
+    ?workers ?(plan = Fault.Plan.empty) ?(retries = 0) ~problem
+    (algo : Algorithm.t) g =
   Obs.Span.with_ "runner.run_resilient" @@ fun () ->
   let t_start = Unix.gettimeofday () in
-  let n = Graph.n g in
-  let n_declared = Option.value n_declared ~default:n in
   match Fault.Inject.compile plan g with
   | Error e -> Error e
   | Ok compiled ->
-    let rng = Util.Prng.create ~seed in
-    let ids = Fault.Inject.apply_ids compiled (assign_ids rng ids n) in
-    let rand =
-      Fault.Inject.apply_rand compiled
-        (Array.init n (fun _ -> Util.Prng.next_int64 rng))
-    in
-    let radius = algo.Algorithm.radius ~n:n_declared in
-    let domains_used = min (resolve_domains domains) (max 1 n) in
-    let workers_used = min (resolve_workers workers) (max 1 n) in
-    let cache =
-      if memo then Some (Mutex.create (), Util.Keytab.create ()) else None
-    in
-    let hits = Atomic.make 0 in
-    let extra_attempts = Atomic.make 0 in
-    let journal = ref [] in
     let blocked = Fault.Inject.is_blocked compiled in
     let any_blocked = compiled.Fault.Inject.any_blocked in
     (* direct load, not a cross-module call: this test runs per node *)
@@ -469,7 +446,7 @@ let run_resilient ?(seed = 0xC0FFEE) ?(ids = `Random) ?n_declared ?domains
        chunks and the join in [Util.Parallel] orders their writes before
        any read here, so this costs one shared array instead of a
        per-node (status, row) tuple plus two map passes. *)
-    let statuses = Array.make n Fault.Ok in
+    let statuses = Array.make (Graph.n g) Fault.Ok in
     let arity_error v k =
       raise_notrace
         (Fault.Error.E
@@ -481,273 +458,127 @@ let run_resilient ?(seed = 0xC0FFEE) ?(ids = `Random) ?n_declared ?domains
       statuses.(v) <- Fault.Errored (Fault.Error.of_exn ~node:v e);
       [||]
     in
-    let invoke ~attempt ball =
-      let ball =
-        if attempt = 0 then ball
+    (* Pristine body: nothing blocked, no retries. It matches [run]'s
+       body instruction for instruction (plus the crash test and the
+       exception fence), because the "faults off" overhead budget of
+       bench E11 eats any difference. *)
+    let pristine env =
+      let { ids; rand; n_declared; radius; _ } = env in
+      fun v ->
+        if crashed.(v) then begin
+          statuses.(v) <- Fault.Crashed;
+          [||]
+        end
         else
-          { ball with
-            Graph.Ball.rand =
-              Array.map (fun r -> remix r attempt) ball.Graph.Ball.rand }
-      in
-      match (cache, attempt) with
-      | Some (lock, table), 0 -> (
-        let kv = Graph.Ball.fingerprint_view ball in
-        let probe () =
-          Util.Keytab.find table ~hash:kv.Graph.Ball.kv_hash
-            kv.Graph.Ball.kv_words ~len:kv.Graph.Ball.kv_len
-        in
-        let found =
-          if domains_used = 1 then probe () else Mutex.protect lock probe
-        in
-        match found with
-        | Some out ->
-          Atomic.incr hits;
-          Array.copy out
-        | None ->
-          let hash = kv.Graph.Ball.kv_hash in
-          let key =
-            Array.sub kv.Graph.Ball.kv_words 0 kv.Graph.Ball.kv_len
-          in
-          let out = algo.Algorithm.run ball in
-          let stored = Array.copy out in
-          let insert () =
-            Util.Keytab.add table ~hash key stored;
-            journal := (hash, key, stored) :: !journal
-          in
-          if domains_used = 1 then insert () else Mutex.protect lock insert;
-          out)
-      | _ -> algo.Algorithm.run ball
-    in
-    (* Pristine specialization: nothing blocked, no memo, no retries.
-       Its loop body matches [run]'s instruction for instruction (plus
-       the crash test and the exception fence), because the "faults
-       off" overhead budget of bench E11 eats any difference. *)
-    let simulate_pristine v =
-      if crashed.(v) then begin
-        statuses.(v) <- Fault.Crashed;
-        [||]
-      end
-      else
-        match
-          let ball, _hosts =
-            Graph.Ball.extract ~reuse:true g ~ids ~rand ~n_declared v ~radius
-          in
-          let out = algo.Algorithm.run ball in
-          if Array.length out <> Graph.degree g v then
-            arity_error v (Array.length out);
-          out
-        with
-        | out -> out
-        | exception e -> errored v e
-    in
-    let simulate v =
-      if crashed.(v) then begin
-        statuses.(v) <- Fault.Crashed;
-        [||]
-      end
-      else
-        match
-          let ball, degraded =
-            if any_blocked then begin
-              let ball, _hosts, degraded =
-                Graph.Ball.extract_restricted ~reuse:true g ~blocked ~ids
-                  ~rand ~n_declared v ~radius
-              in
-              (ball, degraded)
-            end
-            else begin
-              let ball, _hosts =
-                Graph.Ball.extract ~reuse:true g ~ids ~rand ~n_declared v
-                  ~radius
-              in
-              (ball, false)
-            end
-          in
-          if degraded then statuses.(v) <- Fault.Starved;
-          let deg = Graph.degree g v in
-          let rec attempt a =
-            match invoke ~attempt:a ball with
-            | out when Array.length out = deg -> out
-            | out -> arity_error v (Array.length out)
-            | exception e ->
-              if a < retries then begin
-                Atomic.incr extra_attempts;
-                attempt (a + 1)
-              end
-              else raise e
-          in
-          attempt 0
-        with
-        | out -> out
-        | exception e -> errored v e
-    in
-    let body =
-      if (not any_blocked) && retries = 0 && not memo then simulate_pristine
-      else simulate
-    in
-    let cluster_hits = ref 0 in
-    let cluster_retries = ref 0 in
-    (* cluster dispatch, as in [run], plus the status slices: each
-       worker ships its [lo, hi) slice of the status array and the
-       parent blits them back — statuses are a pure per-node function
-       of (graph, plan, seed), so the merged array is identical to the
-       single-process one (the kill-worker chaos job diffs exactly
-       this) *)
-    let cluster_simulate () =
-      let shard lo hi =
-        match
-          child_obs_reset ();
-          let rows =
-            Util.Parallel.init ~domains:domains_used (hi - lo) (fun i ->
-                body (lo + i))
-          in
-          let events, metrics = child_obs_payload () in
-          {
-            sp_rows = rows;
-            sp_statuses = Array.sub statuses lo (hi - lo);
-            sp_hits = Atomic.get hits;
-            sp_retries = Atomic.get extra_attempts;
-            sp_memo = !journal;
-            sp_events = events;
-            sp_metrics = metrics;
-          }
-        with
-        | p -> Ok p
-        | exception e -> Error (wire_exn_of e)
-      in
-      let recover lo hi =
-        let rows =
-          Util.Parallel.init ~domains:domains_used (hi - lo) (fun i ->
-              body (lo + i))
-        in
-        Ok
-          {
-            sp_rows = rows;
-            sp_statuses = [||];  (* written into [statuses] in-place *)
-            sp_hits = 0;
-            sp_retries = 0;
-            sp_memo = [];
-            sp_events = [];
-            sp_metrics = [];
-          }
-      in
-      let shards =
-        Util.Cluster.map_ranges ~workers:workers_used ~recover ~n shard
-      in
-      Array.iter (function Error w -> reraise_wire w | Ok _ -> ()) shards;
-      let shards =
-        Array.map (function Ok p -> p | Error _ -> assert false) shards
-      in
-      Array.iteri
-        (fun rank p ->
-          if Array.length p.sp_statuses > 0 then begin
-            let lo, _ =
-              Util.Cluster.block_bounds ~n ~workers:workers_used rank
+          match
+            let ball, _hosts =
+              Graph.Ball.extract ~reuse:true g ~ids ~rand ~n_declared v ~radius
             in
-            Array.blit p.sp_statuses 0 statuses lo
-              (Array.length p.sp_statuses)
-          end)
-        shards;
-      merge_shards ~cache ~hits_acc:cluster_hits
-        ~retries_acc:cluster_retries shards;
-      Array.concat (Array.to_list (Array.map (fun p -> p.sp_rows) shards))
+            let out = algo.Algorithm.run ball in
+            if Array.length out <> Graph.degree g v then
+              arity_error v (Array.length out);
+            out
+          with
+          | out -> out
+          | exception e -> errored v e
     in
-    (* same "extraction + algorithm runs" window as [run]'s
-       [simulate_seconds]: plan compilation and id/PRNG derivation
-       stay outside the bracket on both sides of bench E11's pairing *)
-    let t_sim0 = Unix.gettimeofday () in
-    let partial =
-      Obs.Span.with_ "runner.simulate" (fun () ->
-          if workers_used <= 1 then
-            Util.Parallel.init ~domains:domains_used n body
-          else cluster_simulate ())
+    (* General body: views truncated at blocked edges, and up to
+       [retries] re-attempts with remixed randomness *)
+    let general env =
+      let { ids; rand; n_declared; radius; extra_attempts } = env in
+      let invoke ~attempt ball =
+        if attempt = 0 then algo.Algorithm.run ball
+        else
+          algo.Algorithm.run
+            { ball with
+              Graph.Ball.rand =
+                Array.map (fun r -> remix r attempt) ball.Graph.Ball.rand }
+      in
+      fun v ->
+        if crashed.(v) then begin
+          statuses.(v) <- Fault.Crashed;
+          [||]
+        end
+        else
+          match
+            let ball, degraded =
+              if any_blocked then begin
+                let ball, _hosts, degraded =
+                  Graph.Ball.extract_restricted ~reuse:true g ~blocked ~ids
+                    ~rand ~n_declared v ~radius
+                in
+                (ball, degraded)
+              end
+              else begin
+                let ball, _hosts =
+                  Graph.Ball.extract ~reuse:true g ~ids ~rand ~n_declared v
+                    ~radius
+                in
+                (ball, false)
+              end
+            in
+            if degraded then statuses.(v) <- Fault.Starved;
+            let deg = Graph.degree g v in
+            let rec attempt a =
+              match invoke ~attempt:a ball with
+              | out when Array.length out = deg -> out
+              | out -> arity_error v (Array.length out)
+              | exception e ->
+                if a < retries then begin
+                  Atomic.incr extra_attempts;
+                  attempt (a + 1)
+                end
+                else raise e
+            in
+            attempt 0
+          with
+          | out -> out
+          | exception e -> errored v e
     in
-    let t_simulated = Unix.gettimeofday () in
+    let body = if (not any_blocked) && retries = 0 then pristine else general in
     let has_output v = Fault.Inject.status_ok statuses.(v) in
-    let healthy_violations =
-      Obs.Span.with_ "runner.verify" (fun () ->
-          Fault.Inject.verify_healthy compiled g ~problem ~labeling:partial
-            ~has_output)
+    let o, retries_used =
+      execute ~t_start ~seed ~ids ~n_declared ?domains ?workers ~compiled
+        ~statuses ~body
+        ~verify:(fun labeling ->
+          Fault.Inject.verify_healthy compiled g ~problem ~labeling ~has_output)
+        algo g
     in
-    let t_end = Unix.gettimeofday () in
-    let report =
-      summarize_statuses plan
-        ~severed_edges:compiled.Fault.Inject.severed_live
-        ~retries_used:(Atomic.get extra_attempts + !cluster_retries)
-        statuses
-    in
-    let r_stats =
+    let t = Fault.Inject.tally statuses in
+    Obs.Metrics.add m_retries retries_used;
+    Obs.Metrics.add m_ok t.Fault.Inject.n_ok;
+    Obs.Metrics.add m_crashed t.Fault.Inject.n_crashed;
+    Obs.Metrics.add m_starved t.Fault.Inject.n_starved;
+    Obs.Metrics.add m_errored t.Fault.Inject.n_errored;
+    Ok
       {
-        balls_extracted = n - report.crashed_nodes;
-        cache_hits = Atomic.get hits + !cluster_hits;
-        distinct_views =
-          (match cache with
-          | None -> 0
-          | Some (_, table) -> Util.Keytab.length table);
-        domains_used;
-        simulate_seconds = t_simulated -. t_sim0;
-        verify_seconds = t_end -. t_simulated;
-        total_seconds = t_end -. t_start;
+        partial = o.labeling;
+        healthy_violations = o.violations;
+        r_radius_used = o.radius_used;
+        r_stats = o.stats;
+        report =
+          {
+            applied = plan;
+            statuses;
+            ok_nodes = t.Fault.Inject.n_ok;
+            crashed_nodes = t.Fault.Inject.n_crashed;
+            starved_nodes = t.Fault.Inject.n_starved;
+            errored_nodes = t.Fault.Inject.n_errored;
+            severed_edges = compiled.Fault.Inject.severed_live;
+            retries_used;
+          };
       }
-    in
-    Obs.Metrics.incr m_runs;
-    Obs.Metrics.add m_nodes n;
-    Obs.Metrics.add m_hits r_stats.cache_hits;
-    Obs.Metrics.add m_views r_stats.distinct_views;
-    (* invocations = surviving nodes minus memo hits, plus re-attempts *)
-    Obs.Metrics.add m_algo
-      (n - report.crashed_nodes - r_stats.cache_hits + report.retries_used);
-    Obs.Metrics.add m_retries report.retries_used;
-    Obs.Metrics.add m_ok report.ok_nodes;
-    Obs.Metrics.add m_crashed report.crashed_nodes;
-    Obs.Metrics.add m_starved report.starved_nodes;
-    Obs.Metrics.add m_errored report.errored_nodes;
-    Ok { partial; healthy_violations; r_radius_used = radius; r_stats; report }
 
-(** One point of a degradation curve: a plan, the statuses it induced,
-    and how badly the surviving labeling fails. *)
-type degradation_point = {
-  point_plan : Fault.Plan.t;
-  point_report : fault_report;
-  point_violations : int;
-}
-
-(** Evaluate [algo] under each plan in turn (shared seed: the fault-free
-    baseline of every point is the same run). First compile error
-    aborts. *)
-let degradation ?seed ?ids ?n_declared ?domains ?workers ?memo ?retries
-    ~plans ~problem algo g =
-  let rec go acc = function
-    | [] -> Ok (List.rev acc)
-    | plan :: rest -> (
-      match
-        run_resilient ?seed ?ids ?n_declared ?domains ?workers ?memo ~plan
-          ?retries ~problem algo g
-      with
-      | Error e -> Error e
-      | Ok o ->
-        go
-          ({
-             point_plan = plan;
-             point_report = o.report;
-             point_violations = List.length o.healthy_violations;
-           }
-           :: acc)
-          rest)
-  in
-  go [] plans
-
-let succeeds ?seed ?ids ?n_declared ?domains ?workers ?memo ?plan ?retries
+let succeeds ?seed ?ids ?n_declared ?domains ?workers ?plan ?retries
     ~problem algo g =
   match plan with
   | None ->
-    (run ?seed ?ids ?n_declared ?domains ?workers ?memo ~problem algo g)
-      .violations
+    (run ?seed ?ids ?n_declared ?domains ?workers ~problem algo g).violations
     = []
   | Some plan -> (
     match
-      run_resilient ?seed ?ids ?n_declared ?domains ?workers ?memo ~plan
-        ?retries ~problem algo g
+      run_resilient ?seed ?ids ?n_declared ?domains ?workers ~plan ?retries
+        ~problem algo g
     with
     | Error _ -> false
     | Ok o -> o.healthy_violations = [] && o.report.errored_nodes = 0)
@@ -759,7 +590,7 @@ let succeeds ?seed ?ids ?n_declared ?domains ?workers ?memo ?plan ?retries
     reports beyond the pre-registered edge list (e.g. self-loops keyed
     as [(v, v)]) are counted instead of raising [Not_found]. *)
 let empirical_local_failure ?(trials = 100) ?(seed = 7) ?domains ?workers
-    ?memo ?plan ?retries ~problem algo g =
+    ?plan ?retries ~problem algo g =
   let n = Graph.n g in
   let node_fails = Array.make n 0 in
   let edge_fails = Hashtbl.create 64 in
@@ -773,7 +604,7 @@ let empirical_local_failure ?(trials = 100) ?(seed = 7) ?domains ?workers
      rejects (F301) fails everywhere by convention. *)
   let resilient_trial plan trial =
     match
-      run_resilient ~seed:(seed + (trial * 7919)) ?domains ?workers ?memo ~plan
+      run_resilient ~seed:(seed + (trial * 7919)) ?domains ?workers ~plan
         ?retries ~problem algo g
     with
     | Error _ ->
@@ -800,8 +631,7 @@ let empirical_local_failure ?(trials = 100) ?(seed = 7) ?domains ?workers
     | Some p -> resilient_trial p trial
     | None ->
       let o =
-        run ~seed:(seed + (trial * 7919)) ?domains ?workers ?memo ~problem
-          algo g
+        run ~seed:(seed + (trial * 7919)) ?domains ?workers ~problem algo g
       in
       let node_fail, edge_fail = Lcl.Verify.failure_events problem g o.labeling in
       Array.iteri (fun v f -> if f then node_fails.(v) <- node_fails.(v) + 1) node_fail;

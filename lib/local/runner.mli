@@ -94,34 +94,21 @@ type resilient_outcome = {
     bit-identical at any worker count — statuses and partial labeling
     included, for any [workers] process count (a worker process that
     dies mid-run is recovered in the parent with the same result).
-    [Error] (F301) iff the plan references nodes outside the graph. *)
+    Resilient runs never memoize: [r_stats.cache_hits] and
+    [distinct_views] are 0. [Error] (F301) iff the plan references
+    nodes outside the graph. *)
 val run_resilient :
   ?seed:int -> ?ids:id_mode -> ?n_declared:int -> ?domains:int ->
-  ?workers:int -> ?memo:bool -> ?plan:Fault.Plan.t -> ?retries:int ->
+  ?workers:int -> ?plan:Fault.Plan.t -> ?retries:int ->
   problem:Lcl.Problem.t -> Algorithm.t -> Graph.t ->
   (resilient_outcome, Fault.Error.t) result
-
-(** One point of a degradation curve. *)
-type degradation_point = {
-  point_plan : Fault.Plan.t;
-  point_report : fault_report;
-  point_violations : int;
-}
-
-(** Evaluate [algo] under each plan in turn with a shared seed (so the
-    fault-free baseline is common to every point). *)
-val degradation :
-  ?seed:int -> ?ids:id_mode -> ?n_declared:int -> ?domains:int ->
-  ?workers:int -> ?memo:bool -> ?retries:int -> plans:Fault.Plan.t list ->
-  problem:Lcl.Problem.t -> Algorithm.t -> Graph.t ->
-  (degradation_point list, Fault.Error.t) result
 
 (** Without [?plan]: the [run] outcome has no violations. With a plan:
     the resilient run has no healthy-subgraph violations and no
     [Errored] node (crashing/starving gracefully still succeeds). *)
 val succeeds :
   ?seed:int -> ?ids:id_mode -> ?n_declared:int -> ?domains:int ->
-  ?workers:int -> ?memo:bool -> ?plan:Fault.Plan.t -> ?retries:int ->
+  ?workers:int -> ?plan:Fault.Plan.t -> ?retries:int ->
   problem:Lcl.Problem.t -> Algorithm.t -> Graph.t -> bool
 
 (** Empirical *local* failure probability (Def. 2.4): over [trials]
@@ -132,6 +119,6 @@ val succeeds :
     violations count, crashed nodes impose nothing — so the result
     reports degradation instead of crashing. *)
 val empirical_local_failure :
-  ?trials:int -> ?seed:int -> ?domains:int -> ?workers:int -> ?memo:bool ->
+  ?trials:int -> ?seed:int -> ?domains:int -> ?workers:int ->
   ?plan:Fault.Plan.t -> ?retries:int ->
   problem:Lcl.Problem.t -> Algorithm.t -> Graph.t -> float

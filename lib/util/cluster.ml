@@ -10,7 +10,8 @@
    The halo problem — a boundary node's radius-T ball reaching into a
    neighbor shard — is solved by fork semantics: every child holds the
    whole CSR graph copy-on-write, so cross-shard reads are plain array
-   loads. Nothing is shipped back but the per-range result. *)
+   loads. Nothing is shipped back but the per-range result and, when
+   tracing is on, the spans and metrics the worker recorded. *)
 
 let env_var = "LCL_WORKERS"
 let kill_env_var = "LCL_CLUSTER_KILL_RANK"
@@ -122,10 +123,22 @@ let m_deaths = Obs.Metrics.counter "cluster.worker.deaths"
 let m_timeouts = Obs.Metrics.counter "cluster.worker.timeouts"
 let m_recovered = Obs.Metrics.counter "cluster.recovered"
 
+(* A worker's trace: the spans and non-zero metrics it recorded itself
+   (empty when tracing is off). *)
+type trace = Obs.Span.event list * (string * Obs.Metrics.value) list
+
+let collect_trace () : trace =
+  if Obs.enabled () then
+    ( Obs.Span.collect (),
+      List.filter
+        (fun (_, v) -> not (Obs.Metrics.is_zero v))
+        (Obs.Metrics.snapshot ()) )
+  else ([], [])
+
 (* What came back over a worker's socket. [Died] covers EOF before the
    answer, a torn frame, and a reaped stall alike: in every case the
    child is gone and the range must be recomputed. *)
-type 'a answer = Answered of ('a, string) result | Died
+type 'a answer = Answered of (('a, string) result * trace) | Died
 
 type drained = Frame of string | Eof | Timed_out
 
@@ -185,15 +198,19 @@ let run_child ~rank ~lo ~hi wr f =
   (match stall_rank () with
   | Some r when r = rank -> Unix.sleepf (stall_seconds ())
   | _ -> ());
+  (* drop the trace state copied from the parent, so the frame carries
+     only what this worker recorded *)
+  if Obs.enabled () then Obs.reset ();
   let result = try Ok (f lo hi) with e -> Error (Printexc.to_string e) in
   (try
      let payload =
-       try Marshal.to_string result []
+       try Marshal.to_string (result, collect_trace ()) []
        with e ->
          Marshal.to_string
-           (Error (Printf.sprintf "unmarshalable worker result: %s"
-                     (Printexc.to_string e))
-             : (_, string) result)
+           ( (Error (Printf.sprintf "unmarshalable worker result: %s"
+                       (Printexc.to_string e))
+               : (_, string) result),
+             (([], []) : trace) )
            []
      in
      Framing.write_frame wr payload
@@ -271,21 +288,35 @@ let map_ranges ?workers ?timeout_s ?on_recover ?recover ~n f =
     Array.iteri
       (fun rank a ->
         match a with
-        | Answered (Error message) ->
+        | Answered (Error message, _) ->
           let lo, hi = block_bounds ~n ~workers:w rank in
           raise (Worker_error { rank; lo; hi; message })
         | _ -> ())
       answers;
-    Array.mapi
-      (fun rank a ->
-        match a with
-        | Answered (Ok v) -> v
-        | Answered (Error _) -> assert false
-        | Died ->
-          incr recoveries_total;
-          Obs.Metrics.incr m_recovered;
-          on_recover rank;
-          let lo, hi = block_bounds ~n ~workers:w rank in
-          recover lo hi)
-      answers
+    let results =
+      Array.mapi
+        (fun rank a ->
+          match a with
+          | Answered (Ok v, _) -> v
+          | Answered (Error _, _) -> assert false
+          | Died ->
+            incr recoveries_total;
+            Obs.Metrics.incr m_recovered;
+            on_recover rank;
+            let lo, hi = block_bounds ~n ~workers:w rank in
+            recover lo hi)
+        answers
+    in
+    (* Worker traces join the parent's in rank order, after every
+       recovery: [Obs.Span.absorb] ranks foreign groups in absorb
+       order, which keeps a cluster trace byte-stable. A recovered
+       range traced straight into the parent. *)
+    Array.iter
+      (function
+        | Answered (_, (events, metrics)) ->
+          Obs.Span.absorb events;
+          Obs.Metrics.absorb metrics
+        | Died -> ())
+      answers;
+    results
   end

@@ -81,11 +81,19 @@ exception
     boundary via [Marshal], so it must not contain closures or custom
     blocks. If a child dies without answering, the parent recomputes
     its range by calling [recover lo hi] (default [f]) in-process —
-    pass a distinct [recover] when [f] performs child-only setup
-    (e.g. resetting inherited observability state) that must not run
-    in the parent. When forking is unavailable (see [can_fork]) every
-    range is evaluated in-process via [recover], in rank order — same
-    result, one process.
+    pass a distinct [recover] when [f] packs side effects into its
+    result for the trip home (counter deltas, cache insertions,
+    exceptions as marshalable values) that a range computed in the
+    parent applies directly. When forking is unavailable (see
+    [can_fork]) every range is evaluated in-process via [recover], in
+    rank order — same result, one process.
+
+    Worker traces: with [Obs] enabled, each child starts from an empty
+    trace and ships the spans and non-zero metrics it recorded in its
+    result frame; the parent absorbs them in rank order
+    ([Obs.Span.absorb], [Obs.Metrics.absorb]) once every range is
+    resolved. A recovered range records straight into the parent's
+    trace.
 
     [timeout_s] (default {!default_timeout}) bounds each rank's drain:
     a worker that has not delivered its frame within the budget —

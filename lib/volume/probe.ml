@@ -38,9 +38,23 @@ let tuple_of g ~ids v =
     inputs = Array.init (Graph.degree g v) (fun p -> Graph.input g v p);
   }
 
-(** Answer the query for node [v]: run the adaptive probe loop.
-    Returns the outputs and the number of probes spent. *)
-let query ?(n_declared = -1) (a : t) g ~ids v =
+(* Why a query produced no output row. [query] raises
+   [Budget_exceeded]/[Bad_probe] from these, the resilient runner
+   turns them into statuses. *)
+type failure =
+  | Over_budget of int                       (* the declared budget *)
+  | Wrong_arity of int                       (* outputs returned *)
+  | Unknown_node of int                      (* probed index j *)
+  | No_port of { node : int; port : int }
+  | Lost                                     (* probe lost to a fault *)
+  | Raised of exn                            (* from [decide] *)
+
+(* The adaptive probe loop for node [v]: the outputs or why there are
+   none, and the probes spent (a lost one included). [lost ~node ~port
+   ~ordinal] says whether the [ordinal]-th probe, through [port] of
+   [node], is lost to a fault. *)
+let probe_loop ?(lost = fun ~node:_ ~port:_ ~ordinal:_ -> false)
+    ?(n_declared = -1) (a : t) g ~ids v =
   let n = if n_declared >= 0 then n_declared else Graph.n g in
   let budget = a.budget ~n in
   let discovered = ref [ (v, tuple_of g ~ids v) ] in
@@ -50,23 +64,42 @@ let query ?(n_declared = -1) (a : t) g ~ids v =
     match a.decide ~n tuples with
     | Output out ->
       if Array.length out <> Graph.degree g v then
-        raise (Bad_probe (a.name ^ ": wrong output arity"));
-      (out, !count)
+        Error (Wrong_arity (Array.length out))
+      else Ok out
     | Probe (j, p) ->
       incr count;
-      if !count > budget then
-        raise (Budget_exceeded { algo = a.name; node = v; budget });
-      let nodes = Array.of_list (List.rev_map fst !discovered) in
-      if j < 0 || j >= Array.length nodes then
-        raise (Bad_probe (a.name ^ ": probe of unknown node"));
-      let u = nodes.(j) in
-      if p < 0 || p >= Graph.degree g u then
-        raise (Bad_probe (a.name ^ ": probe of nonexistent port"));
-      let w = Graph.neighbor g u p in
-      discovered := (w, tuple_of g ~ids w) :: !discovered;
-      loop ()
+      if !count > budget then Error (Over_budget budget)
+      else
+        let nodes = Array.of_list (List.rev_map fst !discovered) in
+        if j < 0 || j >= Array.length nodes then Error (Unknown_node j)
+        else
+          let u = nodes.(j) in
+          if p < 0 || p >= Graph.degree g u then
+            Error (No_port { node = u; port = p })
+          else if lost ~node:u ~port:p ~ordinal:!count then Error Lost
+          else begin
+            let w = Graph.neighbor g u p in
+            discovered := (w, tuple_of g ~ids w) :: !discovered;
+            loop ()
+          end
   in
-  loop ()
+  let r = try loop () with e -> Error (Raised e) in
+  (r, !count)
+
+(** Answer the query for node [v]: run the adaptive probe loop.
+    Returns the outputs and the number of probes spent. *)
+let query ?n_declared (a : t) g ~ids v =
+  match probe_loop ?n_declared a g ~ids v with
+  | Ok out, count -> (out, count)
+  | Error f, _ -> (
+    match f with
+    | Over_budget budget ->
+      raise (Budget_exceeded { algo = a.name; node = v; budget })
+    | Wrong_arity _ -> raise (Bad_probe (a.name ^ ": wrong output arity"))
+    | Unknown_node _ -> raise (Bad_probe (a.name ^ ": probe of unknown node"))
+    | No_port _ -> raise (Bad_probe (a.name ^ ": probe of nonexistent port"))
+    | Lost -> assert false
+    | Raised e -> raise e)
 
 type outcome = {
   labeling : int array array;
@@ -87,12 +120,6 @@ let m_crashed = Obs.Metrics.counter "volume.nodes_crashed"
 let m_starved = Obs.Metrics.counter "volume.nodes_starved"
 let m_errored = Obs.Metrics.counter "volume.nodes_errored"
 
-(** Run the algorithm for every node under the given identifier
-    assignment and verify the assembled labeling against [problem].
-    Per-node queries are independent (the probe loop only reads the
-    host graph), so they run on the deterministic parallel engine:
-    [domains] as in [Local.Runner.run] (default $LCL_DOMAINS), with
-    outputs and probe counts identical for every worker count. *)
 let resolve_workers workers =
   match workers with
   | Some w -> max 1 w
@@ -135,50 +162,35 @@ let reraise_wire = function
    (they only read the host graph and the id assignment, both of
    which every forked worker holds copy-on-write), so sharding the
    node range over worker processes and concatenating in rank order
-   reproduces the single-process answer array bit for bit. Workers
-   ship their trace collections back alongside the rows; a worker
+   reproduces the single-process answer array bit for bit. A worker
    that dies — or a process in which forking is unavailable — is
-   recovered in-process (see [Util.Cluster]). *)
+   recovered in-process (see [Util.Cluster], which also ships the
+   workers' traces). *)
 let cluster_init ~workers ~domains n f =
+  let shard_rows lo hi =
+    Util.Parallel.init ?domains (hi - lo) (fun i -> f (lo + i))
+  in
   let shard lo hi =
-    match
-      (if Obs.enabled () then Obs.reset ());
-      let rows =
-        Util.Parallel.init ?domains (hi - lo) (fun i -> f (lo + i))
-      in
-      let obs =
-        if Obs.enabled () then
-          ( Obs.Span.collect (),
-            List.filter
-              (fun (_, v) -> not (Obs.Metrics.is_zero v))
-              (Obs.Metrics.snapshot ()) )
-        else ([], [])
-      in
-      (rows, obs)
-    with
-    | p -> Ok p
+    match shard_rows lo hi with
+    | rows -> Ok rows
     | exception e -> Error (wire_exn_of e)
   in
-  let recover lo hi =
-    Ok (Util.Parallel.init ?domains (hi - lo) (fun i -> f (lo + i)), ([], []))
-  in
-  let shards = Util.Cluster.map_ranges ~workers ~recover ~n shard in
-  Array.iter (function Error w -> reraise_wire w | Ok _ -> ()) shards;
-  let shards =
-    Array.map (function Ok p -> p | Error _ -> assert false) shards
-  in
-  Array.iter
-    (fun (_, (events, metrics)) ->
-      Obs.Span.absorb events;
-      Obs.Metrics.absorb metrics)
-    shards;
-  Array.concat (Array.to_list (Array.map fst shards))
+  let recover lo hi = Ok (shard_rows lo hi) in
+  Util.Cluster.map_ranges ~workers ~recover ~n shard
+  |> Array.map (function Ok rows -> rows | Error w -> reraise_wire w)
+  |> Array.to_list |> Array.concat
 
 let parallel_init ?domains ?workers n f =
   let workers_used = min (resolve_workers workers) (max 1 n) in
   if workers_used <= 1 then Util.Parallel.init ?domains n f
   else cluster_init ~workers:workers_used ~domains n f
 
+(** Run the algorithm for every node under the given identifier
+    assignment and verify the assembled labeling against [problem].
+    Per-node queries are independent (the probe loop only reads the
+    host graph), so they run on the deterministic parallel engine:
+    [domains] as in [Local.Runner.run] (default $LCL_DOMAINS), with
+    outputs and probe counts identical for every worker count. *)
 let run_with_ids ?n_declared ?domains ?workers ~problem (a : t) g ~ids =
   Obs.Span.with_ "probe.run" @@ fun () ->
   let n = Graph.n g in
@@ -219,65 +231,45 @@ let run ?(seed = 0xBEEF) ?n_declared ?domains ?workers ~problem (a : t) g =
    [Errored] statuses (F201/F202), algorithm exceptions F103; nothing
    raises across the parallel engine. *)
 
-(** Answer one query under compiled faults: the status, the output row
-    ([[||]] unless [Ok]) and the probes spent (lost ones included). *)
-let query_resilient ?(n_declared = -1) compiled (a : t) g ~ids v =
+(* Answer one query under compiled faults: the status, the output row
+   ([[||]] unless [Ok]) and the probes spent (lost ones included). *)
+let query_resilient ?n_declared compiled (a : t) g ~ids v =
   if Fault.Inject.is_crashed compiled v then (Fault.Crashed, [||], 0)
   else
-    let n = if n_declared >= 0 then n_declared else Graph.n g in
-    let budget = a.budget ~n in
-    let discovered = ref [ (v, tuple_of g ~ids v) ] in
-    let count = ref 0 in
-    let rec loop () =
-      let tuples = Array.of_list (List.rev_map snd !discovered) in
-      match a.decide ~n tuples with
-      | Output out ->
-        if Array.length out <> Graph.degree g v then
-          (Fault.Errored
-             (Fault.Error.f ~node:v ~code:"F202"
-                "%s: wrong output arity (%d at degree-%d node)" a.name
-                (Array.length out) (Graph.degree g v)),
-           [||], !count)
-        else (Fault.Ok, out, !count)
-      | Probe (j, p) ->
-        incr count;
-        if !count > budget then
-          (Fault.Errored
-             (Fault.Error.f ~node:v ~code:"F201"
-                "%s: probe budget %d exceeded" a.name budget),
-           [||], !count)
-        else begin
-          let nodes = Array.of_list (List.rev_map fst !discovered) in
-          if j < 0 || j >= Array.length nodes then
-            (Fault.Errored
-               (Fault.Error.f ~node:v ~code:"F202"
-                  "%s: probe of unknown node %d" a.name j),
-             [||], !count)
-          else
-            let u = nodes.(j) in
-            if p < 0 || p >= Graph.degree g u then
-              (Fault.Errored
-                 (Fault.Error.f ~node:v ~code:"F202"
-                    "%s: probe of nonexistent port %d of node %d" a.name p u),
-               [||], !count)
-            else if
-              Fault.Inject.is_blocked compiled u p
-              || Fault.Inject.probe_fails compiled ~node:v ~ordinal:!count
-            then (Fault.Starved, [||], !count)
-            else begin
-              let w = Graph.neighbor g u p in
-              discovered := (w, tuple_of g ~ids w) :: !discovered;
-              loop ()
-            end
-        end
+    let lost ~node ~port ~ordinal =
+      Fault.Inject.is_blocked compiled node port
+      || Fault.Inject.probe_fails compiled ~node:v ~ordinal
     in
-    (try loop () with
-     | Fault.Error.E err -> (Fault.Errored err, [||], !count)
-     | e ->
-       (Fault.Errored
-          (Fault.Error.f ~node:v ~code:"F103" "%s raised: %s" a.name
-             (Printexc.to_string e)),
-        [||], !count))
+    match probe_loop ~lost ?n_declared a g ~ids v with
+    | Ok out, count -> (Fault.Ok, out, count)
+    | Error f, count ->
+      let status =
+        match f with
+        | Lost -> Fault.Starved
+        | Over_budget budget ->
+          Fault.Errored
+            (Fault.Error.f ~node:v ~code:"F201" "%s: probe budget %d exceeded"
+               a.name budget)
+        | Wrong_arity k ->
+          Fault.Errored
+            (Fault.Error.f ~node:v ~code:"F202"
+               "%s: wrong output arity (%d at degree-%d node)" a.name k
+               (Graph.degree g v))
+        | Unknown_node j ->
+          Fault.Errored
+            (Fault.Error.f ~node:v ~code:"F202"
+               "%s: probe of unknown node %d" a.name j)
+        | No_port { node; port } ->
+          Fault.Errored
+            (Fault.Error.f ~node:v ~code:"F202"
+               "%s: probe of nonexistent port %d of node %d" a.name port node)
+        | Raised (Fault.Error.E err) -> Fault.Errored err
+        | Raised e ->
+          Fault.Errored
+            (Fault.Error.f ~node:v ~code:"F103" "%s raised: %s" a.name
+               (Printexc.to_string e))
+      in
+      (status, [||], count)
 
 type fault_report = {
   applied : Fault.Plan.t;
@@ -314,8 +306,9 @@ let run_resilient ?(seed = 0xBEEF) ?n_declared ?domains ?workers
     let attempt k =
       let rng = Util.Prng.create ~seed:(seed + (k * 7919)) in
       let ids = Fault.Inject.apply_ids compiled (Graph.Ids.random rng n) in
-      parallel_init ?domains ?workers n (fun v ->
-          query_resilient ?n_declared compiled a g ~ids v)
+      Obs.Span.with_ "probe.simulate" (fun () ->
+          parallel_init ?domains ?workers n (fun v ->
+              query_resilient ?n_declared compiled a g ~ids v))
     in
     let rec go k =
       let answers = attempt k in
@@ -328,18 +321,12 @@ let run_resilient ?(seed = 0xBEEF) ?n_declared ?domains ?workers
     let answers, attempts = go 0 in
     let statuses = Array.map (fun (s, _, _) -> s) answers in
     let partial = Array.map (fun (_, out, _) -> out) answers in
-    let ok = ref 0 and cr = ref 0 and st = ref 0 and er = ref 0 in
-    Array.iter
-      (function
-        | Fault.Ok -> incr ok
-        | Fault.Crashed -> incr cr
-        | Fault.Starved -> incr st
-        | Fault.Errored _ -> incr er)
-      statuses;
+    let t = Fault.Inject.tally statuses in
     let has_output v = statuses.(v) = Fault.Ok in
     let healthy_violations =
-      Fault.Inject.verify_healthy compiled g ~problem ~labeling:partial
-        ~has_output
+      Obs.Span.with_ "probe.verify" (fun () ->
+          Fault.Inject.verify_healthy compiled g ~problem ~labeling:partial
+            ~has_output)
     in
     let total_probes =
       Array.fold_left (fun t (_, _, p) -> t + p) 0 answers
@@ -347,10 +334,10 @@ let run_resilient ?(seed = 0xBEEF) ?n_declared ?domains ?workers
     Obs.Metrics.add m_queries n;
     Obs.Metrics.add m_probes total_probes;
     Obs.Metrics.add m_run_retries attempts;
-    Obs.Metrics.add m_ok !ok;
-    Obs.Metrics.add m_crashed !cr;
-    Obs.Metrics.add m_starved !st;
-    Obs.Metrics.add m_errored !er;
+    Obs.Metrics.add m_ok t.Fault.Inject.n_ok;
+    Obs.Metrics.add m_crashed t.Fault.Inject.n_crashed;
+    Obs.Metrics.add m_starved t.Fault.Inject.n_starved;
+    Obs.Metrics.add m_errored t.Fault.Inject.n_errored;
     if Obs.enabled () then
       Array.iter (fun (_, _, p) -> Obs.Metrics.observe m_per_query p) answers;
     Ok
@@ -359,16 +346,15 @@ let run_resilient ?(seed = 0xBEEF) ?n_declared ?domains ?workers
         healthy_violations;
         r_max_probes =
           Array.fold_left (fun m (_, _, p) -> max m p) 0 answers;
-        r_total_probes =
-          Array.fold_left (fun t (_, _, p) -> t + p) 0 answers;
+        r_total_probes = total_probes;
         report =
           {
             applied = plan;
             statuses;
-            ok_nodes = !ok;
-            crashed_nodes = !cr;
-            starved_nodes = !st;
-            errored_nodes = !er;
+            ok_nodes = t.Fault.Inject.n_ok;
+            crashed_nodes = t.Fault.Inject.n_crashed;
+            starved_nodes = t.Fault.Inject.n_starved;
+            errored_nodes = t.Fault.Inject.n_errored;
             retries_used = attempts;
           };
       }

@@ -60,12 +60,6 @@ val run :
     malformed probes become [Errored] (F201/F202), algorithm
     exceptions F103 — nothing raises. *)
 
-(** One query under compiled faults: status, output row ([[||]] unless
-    [Ok]) and probes spent, lost ones included. *)
-val query_resilient :
-  ?n_declared:int -> Fault.Inject.compiled -> t -> Graph.t ->
-  ids:int array -> int -> Fault.status * int array * int
-
 type fault_report = {
   applied : Fault.Plan.t;
   statuses : Fault.status array;  (** per host node *)

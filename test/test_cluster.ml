@@ -968,6 +968,27 @@ let test_resilient_matrix () =
         true
         (o.Local.Runner.partial = base.Local.Runner.partial))
     [ 2; 4 ];
+  (* empty plan: the resilient run agrees with the plain one when both
+     are sharded *)
+  List.iter
+    (fun workers ->
+      let plain =
+        Local.Runner.run ~seed:5 ~workers ~problem
+          Local.Cole_vishkin.three_coloring g
+      in
+      match
+        Local.Runner.run_resilient ~seed:5 ~workers ~problem
+          Local.Cole_vishkin.three_coloring g
+      with
+      | Error e -> fail (Fault.Error.to_string e)
+      | Ok o ->
+        check bool
+          (Printf.sprintf "empty plan = plain run at workers=%d" workers)
+          true
+          (o.Local.Runner.partial = plain.Local.Runner.labeling
+          && o.Local.Runner.healthy_violations = plain.Local.Runner.violations
+          && o.Local.Runner.report.Local.Runner.ok_nodes = Graph.n g))
+    [ 2; 4 ];
   (* chaos: kill rank 1 mid-run; the parent recomputes that shard and
      the merged statuses do not change *)
   Helpers.with_env Util.Cluster.kill_env_var "1" (fun () ->
@@ -975,6 +996,37 @@ let test_resilient_matrix () =
       check bool "statuses survive a killed worker" true
         (o.Local.Runner.report.Local.Runner.statuses
         = base.Local.Runner.report.Local.Runner.statuses))
+
+(* Worker traces reach the parent through [Util.Cluster]: each of the
+   three forked workers runs one single-domain [Parallel.init] job, so
+   the parent's trace holds exactly three jobs and three chunk spans
+   (the parent itself runs none). A span the parent closed before
+   forking appears once: workers ship only what they recorded. *)
+let test_worker_traces_shipped () =
+  check_fork_available ();
+  let traced what run =
+    let (), events, metrics =
+      Helpers.with_trace (fun () ->
+          Obs.Span.with_ "test.before-fork" (fun () -> ());
+          ignore (run ()))
+    in
+    check int (what ^ ": parallel.jobs") 3
+      (Helpers.counter_value metrics "parallel.jobs");
+    check int (what ^ ": parallel.chunk spans") 3
+      (Helpers.span_count events "parallel.chunk");
+    check int (what ^ ": parent span not re-shipped") 1
+      (Helpers.span_count events "test.before-fork")
+  in
+  let g = Graph.Builder.oriented_cycle 60 in
+  traced "Runner.run" (fun () ->
+      Local.Runner.run ~seed:5 ~workers:3 ~domains:1
+        ~problem:(Lcl.Zoo.coloring ~k:3 ~delta:2)
+        Local.Cole_vishkin.three_coloring g);
+  let g = Lcl.Zoo_oriented.mark_orientation_inputs g in
+  traced "Volume.Probe.run" (fun () ->
+      Volume.Probe.run ~seed:9 ~workers:3 ~domains:1
+        ~problem:(Lcl.Zoo_oriented.coloring ~k:3)
+        Volume.Algorithms.cv_coloring g)
 
 (* LAST: the in-parent multi-domain cell. Spawning a domain here
    poisons [fork] for the rest of the process, which is exactly what
@@ -1071,6 +1123,7 @@ let suites =
           test_probe_cluster_typed_exceptions;
         test_case "probe matrix" `Quick test_probe_matrix;
         test_case "resilient matrix + chaos" `Quick test_resilient_matrix;
+        test_case "worker traces shipped" `Quick test_worker_traces_shipped;
         test_case "in-parent domains, then fallback" `Quick
           test_runner_matrix_in_parent_domains_then_fallback;
       ] );

@@ -112,16 +112,35 @@ let run_mis ?(domains = 1) ?(retries = 0) plan g =
   | Ok o -> o
   | Error e -> Alcotest.failf "run_resilient: %s" (Fault.Error.to_string e)
 
+(* both entry points share one execution core: with an empty plan the
+   whole outcome agrees, counters included *)
 let test_empty_plan_matches_plain_run () =
   let g = Graph.Builder.oriented_cycle 48 in
-  let o = run_mis Fault.Plan.empty g in
-  let plain =
-    Local.Runner.run ~seed:11 ~problem:mis_problem Local.Mis.algorithm g
-  in
-  check bool "same labeling" true
-    (o.Local.Runner.partial = plain.Local.Runner.labeling);
-  check int "all ok" 48 o.Local.Runner.report.Local.Runner.ok_nodes;
-  check int "no violations" 0 (List.length o.Local.Runner.healthy_violations)
+  List.iter
+    (fun domains ->
+      let o = run_mis ~domains Fault.Plan.empty g in
+      let plain =
+        Local.Runner.run ~seed:11 ~domains ~problem:mis_problem
+          Local.Mis.algorithm g
+      in
+      let at what = Printf.sprintf "%s at domains=%d" what domains in
+      check bool (at "same labeling") true
+        (o.Local.Runner.partial = plain.Local.Runner.labeling);
+      check bool (at "same violations") true
+        (o.Local.Runner.healthy_violations = plain.Local.Runner.violations);
+      check int (at "same radius") plain.Local.Runner.radius_used
+        o.Local.Runner.r_radius_used;
+      let s = o.Local.Runner.r_stats and p = plain.Local.Runner.stats in
+      check int (at "same balls_extracted") p.Local.Runner.balls_extracted
+        s.Local.Runner.balls_extracted;
+      check int (at "same cache_hits") p.Local.Runner.cache_hits
+        s.Local.Runner.cache_hits;
+      check int (at "same distinct_views") p.Local.Runner.distinct_views
+        s.Local.Runner.distinct_views;
+      check int (at "all ok") 48 o.Local.Runner.report.Local.Runner.ok_nodes;
+      check int (at "no violations") 0
+        (List.length o.Local.Runner.healthy_violations))
+    [ 1; 4 ]
 
 let test_all_crashed () =
   let g = Graph.Builder.cycle 10 in

@@ -353,6 +353,17 @@ let test_volume_probe_counters () =
     (Helpers.counter_value metrics "volume.probes");
   assert_span_count events "probe.run" 1;
   assert_span_count events "probe.simulate" 1;
+  assert_span_count events "probe.verify" 1;
+  (* the resilient run nests the same two phases *)
+  let r, events, _ =
+    with_trace (fun () ->
+        Volume.Probe.run_resilient ~problem:(Lcl.Zoo.free_choice ~delta:2)
+          (Volume.Algorithms.constant_choice ~name:"const" 0)
+          g)
+  in
+  check bool "resilient run ok" true (Result.is_ok r);
+  assert_span_count events "probe.run_resilient" 1;
+  assert_span_count events "probe.simulate" 1;
   assert_span_count events "probe.verify" 1
 
 let test_fault_compile_counters () =
